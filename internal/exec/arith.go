@@ -1,14 +1,21 @@
-// Arithmetic vector kernels: +, -, *, /, % over typed columns.
+// Numeric vector kernels: arithmetic (+, -, *, /, %) and every numeric
+// WHERE predicate.
 //
-// A numVec is one numeric operand of a WHERE comparison (or an aggregate
-// input) materialized as a typed vector: int64 when the whole expression
-// stays in exact integer arithmetic, float64 otherwise, with null and error
-// bitmaps on the side. The compiler mirrors expr.evalArith exactly — INT op
-// INT stays int64 (including wraparound) except division, everything else
-// computes through float64 in the interpreter's operand order — so results
-// are bit-identical to the row path. The only dynamic error arithmetic over
-// numeric columns can raise is division by zero; rows that would raise it
-// carry an error bit, which the consuming kernels turn into ternErr.
+// A numVec is one numeric operand of a WHERE predicate (or an aggregate
+// input) as a typed vector: int64 when the whole expression stays in exact
+// integer arithmetic, float64 otherwise, with null and error bitmaps on the
+// side. A plain column or WEIGHT is a zero-copy view of the snapshot
+// (numRef), a literal is a broadcast scalar (numConst), and a computed
+// expression materializes once. Comparison, truthiness, IN and BETWEEN over
+// numerics all run on the kernels here, whichever of these shapes their
+// operands take; BOOL and TEXT columns keep their own kernels in vector.go.
+//
+// The compiler mirrors expr.evalArith exactly — INT op INT stays int64
+// (including wraparound) except division, everything else computes through
+// float64 in the interpreter's operand order — so results are bit-identical
+// to the row path. The only dynamic error arithmetic over numeric columns
+// can raise is division by zero; rows that would raise it carry an error
+// bit, which the consuming kernels turn into ternErr.
 package exec
 
 import (
@@ -168,16 +175,7 @@ func (c *kernelCompiler) compileNum(e expr.Expr) *numVec {
 		if !ok {
 			return nil
 		}
-		switch {
-		case ref.isWeight:
-			return &numVec{floats: ref.weight}
-		case ref.kind == value.KindInt:
-			return &numVec{isInt: true, ints: ref.col.Ints, nulls: ref.col.Nulls}
-		case ref.kind == value.KindFloat:
-			return &numVec{floats: ref.col.Floats, nulls: ref.col.Nulls}
-		default:
-			return nil // arithmetic on BOOL/TEXT errors per row: interpreted fallback
-		}
+		return numRef(ref) // nil for BOOL/TEXT: arithmetic on them errors per row
 	case *expr.Unary:
 		if !ex.Neg {
 			return nil // NOT yields BOOL; arithmetic on it errors per row
@@ -223,6 +221,22 @@ func (c *kernelCompiler) compileNum(e expr.Expr) *numVec {
 			return nil
 		}
 		return c.numArith(ex.Op, l, r)
+	default:
+		return nil
+	}
+}
+
+// numRef views a numeric column operand as a numVec without copying: the
+// payload and null bitmap are the snapshot's own (WEIGHT is never NULL). It
+// returns nil for BOOL and TEXT columns, which are not numeric operands.
+func numRef(ref colRef) *numVec {
+	switch {
+	case ref.isWeight:
+		return &numVec{floats: ref.weight}
+	case ref.kind == value.KindInt:
+		return &numVec{isInt: true, ints: ref.col.Ints, nulls: ref.col.Nulls}
+	case ref.kind == value.KindFloat:
+		return &numVec{floats: ref.col.Floats, nulls: ref.col.Nulls}
 	default:
 		return nil
 	}
@@ -559,29 +573,31 @@ func ownBits(bm []uint64, n int) []uint64 {
 
 // cmpNumNumKernel compares two numeric vectors with value.Compare semantics:
 // exact int64 when both sides stayed integer, float64 (NaN comparing equal
-// to everything, like the interpreter's "neither smaller") otherwise.
-// Scalar operands compare from a register — the common `x*2 > 500` shape
-// never materializes the constant side.
+// to everything, like the interpreter's "neither smaller") otherwise. It is
+// the one numeric comparison kernel: column against literal, column against
+// column, and computed operands all compile to it. A scalar operand compares
+// from a register — `x*2 > 500` never materializes the constant side, and
+// an INT column against a FLOAT literal converts each row in the loop
+// instead of copying the column to float64.
 type cmpNumNumKernel struct {
 	a, b   *numVec
-	af, bf []float64 // precomputed float views of non-scalar mixed operands
+	af, bf []float64 // float views when both operands are vectors, not both int
 	lut    [3]int8
 }
 
-// newCmpNumNum builds the comparison kernel, materializing any int→float
-// coercion once at compile time: eval runs per morsel, and re-deriving a
-// floatView inside each morsel would redo the whole-column conversion per
-// morsel (and allocate under the worker pool).
+// newCmpNumNum builds the comparison kernel. A lone scalar operand moves to
+// the right (value.Compare is antisymmetric, so swapping the operands
+// mirrors the outcome table). When both operands are vectors of different
+// kinds, the int→float coercion materializes once here: eval runs per
+// morsel, and re-deriving a floatView inside each morsel would redo the
+// whole-column conversion per morsel (and allocate under the worker pool).
 func newCmpNumNum(a, b *numVec, lut [3]int8) kernel {
+	if a.scalar && !b.scalar {
+		a, b, lut = b, a, [3]int8{lut[2], lut[1], lut[0]}
+	}
 	k := &cmpNumNumKernel{a: a, b: b, lut: lut}
-	wholeRowConst := a.constErr || b.constErr || a.constNull || b.constNull
-	if !wholeRowConst && !(a.isInt && b.isInt) {
-		if !a.scalar {
-			k.af = a.floatView()
-		}
-		if !b.scalar {
-			k.bf = b.floatView()
-		}
+	if !b.scalar && !(a.isInt && b.isInt) {
+		k.af, k.bf = a.floatView(), b.floatView()
 	}
 	return k
 }
@@ -605,12 +621,11 @@ func (k *cmpNumNumKernel) eval(dst []int8, lo, hi int) {
 		overlayBits(dst, b.errs, ternErr, lo)
 		return
 	}
-	tl, te, tg := k.lut[0], k.lut[1], k.lut[2]
 	bothInt := a.isInt && b.isInt
 	switch {
-	case a.scalar && b.scalar:
-		// Two plain constants under an unfoldable parent: one comparison
-		// decides every row.
+	case a.scalar:
+		// Both scalar (two plain constants under an unfoldable parent): one
+		// comparison decides every row.
 		var c int
 		if bothInt {
 			c = cmpOrder(a.scalarInt(), b.scalarInt())
@@ -621,89 +636,64 @@ func (k *cmpNumNumKernel) eval(dst []int8, lo, hi int) {
 		for i := range dst {
 			dst[i] = v
 		}
-	case b.scalar:
-		if bothInt {
-			y := b.scalarInt()
-			for i, x := range a.ints[lo:hi] {
-				switch {
-				case x < y:
-					dst[i] = tl
-				case x > y:
-					dst[i] = tg
-				default:
-					dst[i] = te
-				}
-			}
-		} else {
-			y := b.scalarFloat()
-			for i, x := range k.af[lo:hi] {
-				switch {
-				case x < y:
-					dst[i] = tl
-				case x > y:
-					dst[i] = tg
-				default:
-					dst[i] = te
-				}
-			}
-		}
-	case a.scalar:
-		if bothInt {
-			x := a.scalarInt()
-			for i, y := range b.ints[lo:hi] {
-				switch {
-				case x < y:
-					dst[i] = tl
-				case x > y:
-					dst[i] = tg
-				default:
-					dst[i] = te
-				}
-			}
-		} else {
-			x := a.scalarFloat()
-			for i, y := range k.bf[lo:hi] {
-				switch {
-				case x < y:
-					dst[i] = tl
-				case x > y:
-					dst[i] = tg
-				default:
-					dst[i] = te
-				}
-			}
-		}
-	case bothInt:
-		ys := b.ints[lo:hi]
+	case b.scalar && bothInt:
+		cmpRowsScalar(dst, a.ints[lo:hi], b.scalarInt(), k.lut)
+	case b.scalar && a.isInt:
+		y, tl, te, tg := b.scalarFloat(), k.lut[0], k.lut[1], k.lut[2]
 		for i, x := range a.ints[lo:hi] {
-			y := ys[i]
+			f := float64(x)
 			switch {
-			case x < y:
+			case f < y:
 				dst[i] = tl
-			case x > y:
+			case f > y:
 				dst[i] = tg
 			default:
 				dst[i] = te
 			}
 		}
+	case b.scalar:
+		cmpRowsScalar(dst, a.floats[lo:hi], b.scalarFloat(), k.lut)
+	case bothInt:
+		cmpRows(dst, a.ints[lo:hi], b.ints[lo:hi], k.lut)
 	default:
-		ys := k.bf[lo:hi]
-		for i, x := range k.af[lo:hi] {
-			y := ys[i]
-			switch {
-			case x < y:
-				dst[i] = tl
-			case x > y:
-				dst[i] = tg
-			default:
-				dst[i] = te
-			}
-		}
+		cmpRows(dst, k.af[lo:hi], k.bf[lo:hi], k.lut)
 	}
 	overlayBits(dst, a.nulls, ternNull, lo)
 	overlayBits(dst, b.nulls, ternNull, lo)
 	overlayBits(dst, a.errs, ternErr, lo)
 	overlayBits(dst, b.errs, ternErr, lo)
+}
+
+// cmpRowsScalar writes the outcome of each xs[i] compared with y.
+func cmpRowsScalar[T int64 | float64](dst []int8, xs []T, y T, lut [3]int8) {
+	tl, te, tg := lut[0], lut[1], lut[2]
+	for i, x := range xs {
+		switch {
+		case x < y:
+			dst[i] = tl
+		case x > y:
+			dst[i] = tg
+		default:
+			dst[i] = te
+		}
+	}
+}
+
+// cmpRows writes the outcome of each xs[i] compared with ys[i].
+func cmpRows[T int64 | float64](dst []int8, xs, ys []T, lut [3]int8) {
+	tl, te, tg := lut[0], lut[1], lut[2]
+	ys = ys[:len(xs)]
+	for i, x := range xs {
+		y := ys[i]
+		switch {
+		case x < y:
+			dst[i] = tl
+		case x > y:
+			dst[i] = tg
+		default:
+			dst[i] = te
+		}
+	}
 }
 
 // cmpOrder is value.Compare's ordering over two same-shape numerics: -1/0/1
@@ -719,7 +709,8 @@ func cmpOrder[T int64 | float64](x, y T) int {
 	}
 }
 
-// truthNumKernel is WHERE truthiness of an arithmetic expression.
+// truthNumKernel is WHERE truthiness of a numeric operand: a column,
+// WEIGHT, or an arithmetic expression (NULL rows stay NULL).
 type truthNumKernel struct{ v *numVec }
 
 func (k *truthNumKernel) eval(dst []int8, lo, hi int) {
@@ -736,15 +727,19 @@ func (k *truthNumKernel) eval(dst []int8, lo, hi int) {
 	overlayBits(dst, k.v.errs, ternErr, lo)
 }
 
-// inNumKernel is IN-list membership of an arithmetic expression, with the
-// same exact-int/float asymmetry — and NaN rules — as inIntKernel and
-// inFloatKernel.
+// inNumKernel is IN-list membership of a numeric operand with value.Equal
+// semantics. An int operand matches INT items exactly on int64 and FLOAT
+// items through float64 (the asymmetry value.Compare has); a float operand
+// matches every numeric item through float64. NaN needs its own flags:
+// under value.Equal a NaN equals EVERY numeric (Compare finds neither
+// smaller), so a NaN item matches every row and a NaN row matches as soon
+// as any numeric item exists — hash sets alone cannot say that.
 type inNumKernel struct {
 	v       *numVec
-	ints    map[int64]bool
-	floats  map[uint64]bool
-	anyNum  bool
-	nanItem bool
+	ints    map[int64]bool  // INT items, for an int operand
+	floats  map[uint64]bool // eqBits of the items compared through float64
+	anyNum  bool            // a NaN row matches as soon as any numeric item exists
+	nanItem bool            // a NaN item matches every row
 	sawNull bool
 	negate  bool
 }
@@ -776,21 +771,6 @@ func (k *inNumKernel) eval(dst []int8, lo, hi int) {
 		}
 	}
 	overlayBits(dst, k.v.nulls, ternNull, lo)
-	overlayBits(dst, k.v.errs, ternErr, lo)
-}
-
-// isNullNumKernel is IS [NOT] NULL over an arithmetic expression.
-type isNullNumKernel struct {
-	v      *numVec
-	negate bool
-}
-
-func (k *isNullNumKernel) eval(dst []int8, lo, hi int) {
-	base := ternOf(k.negate)
-	for i := range dst {
-		dst[i] = base
-	}
-	overlayBits(dst, k.v.nulls, ternOf(!k.negate), lo)
 	overlayBits(dst, k.v.errs, ternErr, lo)
 }
 

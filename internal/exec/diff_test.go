@@ -135,6 +135,28 @@ var diffWheres = []string{
 	"WHERE x + c > 1",  // arithmetic on TEXT: lazy per-row error on both paths
 	"WHERE b + 1 > 0",  // arithmetic on BOOL: lazy per-row error on both paths
 	"WHERE nosuch > 1", // unknown column: lazy per-row error on both paths
+	// Plain numeric columns, WEIGHT and literals on the numVec kernels:
+	// every operand kind pairing, literals on either side, truthiness,
+	// IN, IS NULL and BETWEEN.
+	"WHERE x > 2.5",
+	"WHERE 2.5 < x",
+	"WHERE y > 3",
+	"WHERE y",
+	"WHERE WEIGHT",
+	"WHERE x IN (1.5, 2, 3.0)",
+	"WHERE WEIGHT IN (0, 1.5)",
+	"WHERE WEIGHT NOT IN (0.5, NULL)",
+	"WHERE y IN (0, 12.5)",
+	"WHERE y IS NULL",
+	"WHERE WEIGHT IS NULL",
+	"WHERE b IS NOT NULL",
+	"WHERE c IS NULL",
+	"WHERE x BETWEEN -0.5 AND 99.5",
+	"WHERE WEIGHT BETWEEN 1 AND 2",
+	"WHERE x <= y",
+	"WHERE WEIGHT >= y",
+	"WHERE y = NULL",
+	"WHERE 9007199254740993 > x",
 }
 
 // diffShapes are query templates; %s receives the WHERE clause.
@@ -398,6 +420,12 @@ func TestRowVsVectorNaN(t *testing.T) {
 		"WHERE x IN (1e308 * 2 - 1e308 * 2)",
 		"WHERE x * 1 IN (7, 1e308 * 2 - 1e308 * 2)",
 		"WHERE y BETWEEN 1e308 * 2 - 1e308 * 2 AND 5",
+		"WHERE y > 3",
+		"WHERE y",
+		"WHERE y IS NULL",
+		// The selected rows' first y is NaN in some shard: MIN/MAX must
+		// not keep it.
+		"WHERE WEIGHT > 1",
 	}
 	nanOverride := make([]float64, 300)
 	for i := range nanOverride {
@@ -498,6 +526,34 @@ func TestAggErrOrderWithInterpretedFilter(t *testing.T) {
 	// Same shape with a kernel-compilable filter: both errors are
 	// division-by-zero, so the vectorized path may serve it.
 	runBoth(t, tbl, "SELECT SUM(x / y) FROM t WHERE x / n > 2 OR x > 0", Options{Weighted: true})
+}
+
+// TestIntFloatCompareAllocs pins that comparing an INT column with a FLOAT
+// literal converts each row inside the scan loop: compiling and evaluating
+// the filter allocates no more than the INT-literal shape does, so no
+// row-length float64 copy of the column is ever made.
+func TestIntFloatCompareAllocs(t *testing.T) {
+	snap := diffTable(t, 4096, 8).Snapshot()
+	dst := make([]int8, snap.Len())
+	allocs := func(where string) float64 {
+		sel, err := sql.ParseQuery("SELECT * FROM t WHERE " + where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			k := compileFilter(sel.Where, snap, snap.Weights(), 1)
+			k.eval(dst, 0, len(dst))
+		})
+	}
+	for _, tc := range []struct{ float, int string }{
+		{"x > 2.5", "x > 2"},
+		{"2.5 < x", "2 < x"},
+		{"x BETWEEN -0.5 AND 99.5", "x BETWEEN -1 AND 99"},
+	} {
+		if got, want := allocs(tc.float), allocs(tc.int); got > want {
+			t.Errorf("%q: %v allocs per compile+eval, want at most the %v of %q", tc.float, got, want, tc.int)
+		}
+	}
 }
 
 // TestInExactIntMembership pins value.Equal's exact INT-vs-INT comparison

@@ -16,6 +16,8 @@
 package exec
 
 import (
+	"math"
+
 	"mosaic/internal/sql"
 	"mosaic/internal/value"
 )
@@ -51,17 +53,32 @@ func (s *AggState) Accumulate(kind sql.AggKind, v value.Value, w float64) error 
 		}
 		s.SumW += w
 		s.SumWX += w * f
-	case sql.AggMin:
-		if !s.Seen || value.Compare(v, s.MinMax) < 0 {
-			s.MinMax = v
-		}
-	case sql.AggMax:
-		if !s.Seen || value.Compare(v, s.MinMax) > 0 {
+	case sql.AggMin, sql.AggMax:
+		if !s.Seen || replacesExtremum(kind, v, s.MinMax) {
 			s.MinMax = v
 		}
 	}
 	s.Seen = true
 	return nil
+}
+
+// replacesExtremum reports whether v replaces cur as the running MIN or MAX
+// (kind says which). value.Compare finds NaN equal to everything, so on its
+// own a NaN seen first would pin the extremum, and a sharded merge would
+// answer differently from one scan. Instead a number always replaces a NaN
+// extremum and NaN never replaces a number: MIN/MAX is NaN only when every
+// input is, so where a NaN falls in the scan, or which shard it lands in,
+// never changes the answer.
+func replacesExtremum(kind sql.AggKind, v, cur value.Value) bool {
+	if c := value.Compare(v, cur); c != 0 {
+		return (c < 0) == (kind == sql.AggMin)
+	}
+	// Compare finds NaN equal to every number, so a tie may hide one.
+	return isNaN(cur) && !isNaN(v)
+}
+
+func isNaN(v value.Value) bool {
+	return v.Kind() == value.KindFloat && math.IsNaN(v.AsFloat())
 }
 
 // Merge folds other into s, with s logically ordered before other: s becomes
@@ -74,12 +91,8 @@ func (s *AggState) Merge(kind sql.AggKind, other AggState) {
 	case sql.AggSum, sql.AggAvg:
 		s.SumW += other.SumW
 		s.SumWX += other.SumWX
-	case sql.AggMin:
-		if other.Seen && (!s.Seen || value.Compare(other.MinMax, s.MinMax) < 0) {
-			s.MinMax = other.MinMax
-		}
-	case sql.AggMax:
-		if other.Seen && (!s.Seen || value.Compare(other.MinMax, s.MinMax) > 0) {
+	case sql.AggMin, sql.AggMax:
+		if other.Seen && (!s.Seen || replacesExtremum(kind, other.MinMax, s.MinMax)) {
 			s.MinMax = other.MinMax
 		}
 	}
@@ -180,13 +193,8 @@ func (st *PartialStates) MergeGroup(g int, other *PartialStates, og int) {
 		st.SumW[g] += other.SumW[og]
 		st.SumWX[g] += other.SumWX[og]
 		st.Seen[g] = st.Seen[g] || other.Seen[og]
-	case sql.AggMin:
-		if other.Seen[og] && (!st.Seen[g] || value.Compare(other.MinMax[og], st.MinMax[g]) < 0) {
-			st.MinMax[g] = other.MinMax[og]
-		}
-		st.Seen[g] = st.Seen[g] || other.Seen[og]
-	case sql.AggMax:
-		if other.Seen[og] && (!st.Seen[g] || value.Compare(other.MinMax[og], st.MinMax[g]) > 0) {
+	case sql.AggMin, sql.AggMax:
+		if other.Seen[og] && (!st.Seen[g] || replacesExtremum(st.Kind, other.MinMax[og], st.MinMax[g])) {
 			st.MinMax[g] = other.MinMax[og]
 		}
 		st.Seen[g] = st.Seen[g] || other.Seen[og]

@@ -108,44 +108,12 @@ func PartialAggregate(ctx context.Context, snap *table.Snapshot, sel *sql.Select
 	if !sel.HasAggregates() && len(sel.GroupBy) == 0 {
 		return nil, false, nil
 	}
-	keyIdx, err := resolveGroupKeys(snap, sel)
-	if err != nil {
-		return nil, true, err
+	keyIdx, ok, err := planSharded(snap, sel, opts)
+	if !ok || err != nil {
+		return nil, ok, err
 	}
-	rawW := snap.Weights()
-	if opts.WeightOverride != nil {
-		rawW = opts.WeightOverride
-	}
-	workers := opts.workers()
-	// The engage/decline decision runs against the FULL snapshot, exactly as
-	// runAggregateSharded's does: plannability depends only on schema and
-	// expression shape, and the error-ordering guard (aggsCanErr without a
-	// compilable filter) on the full row count — so every shard process
-	// holding the same data reaches the same decision.
-	comp := &kernelCompiler{snap: snap, weights: rawW, n: snap.Len(), workers: workers}
-	vaggs, ok := planVectorAggs(comp, sel)
-	if !ok {
-		return nil, false, nil
-	}
-	if sel.Where != nil && aggsCanErr(vaggs, snap.Len()) && compileFilter(sel.Where, snap, rawW, 1) == nil {
-		return nil, false, nil
-	}
-	bounds := shardBounds(snap.Len(), shards)
-	lo, hi := bounds[shard][0], bounds[shard][1]
-	sub := snap.SliceRange(lo, hi)
-	var wo []float64
-	if opts.WeightOverride != nil {
-		wo = opts.WeightOverride[lo:hi]
-	}
-	p, err := shardPartialAggregate(ctx, sub, sel, keyIdx, wo, opts, workers)
-	if err != nil {
-		return nil, true, err
-	}
-	p.Rows = hi - lo
-	if opts.ShardScan != nil {
-		opts.ShardScan(shard, hi-lo)
-	}
-	return p, true, nil
+	p, err := shardPartialAggregate(ctx, snap, sel, keyIdx, opts, shard, shardBounds(snap.Len(), shards)[shard])
+	return p, true, err
 }
 
 // GatherPartials merges per-shard partials **in slice order** through the
@@ -191,27 +159,10 @@ func GatherPartials(ctx context.Context, sel *sql.Select, partials []*ShardParti
 // needs the row path's interleaved error ordering); the caller falls through
 // to the unsharded paths.
 func runAggregateSharded(ctx context.Context, snap *table.Snapshot, sel *sql.Select, opts Options) (*Result, bool, error) {
-	keyIdx, err := resolveGroupKeys(snap, sel)
-	if err != nil {
-		return nil, true, err
+	keyIdx, ok, err := planSharded(snap, sel, opts)
+	if !ok || err != nil {
+		return nil, ok, err
 	}
-	rawW := snap.Weights()
-	if opts.WeightOverride != nil {
-		rawW = opts.WeightOverride
-	}
-	workers := opts.workers()
-	// Engagement mirrors runAggregateVector exactly: a query the vectorized
-	// path would decline must take the (unsharded) row path, with the same
-	// error-ordering reasoning.
-	comp := &kernelCompiler{snap: snap, weights: rawW, n: snap.Len(), workers: workers}
-	vaggs, ok := planVectorAggs(comp, sel)
-	if !ok {
-		return nil, false, nil
-	}
-	if sel.Where != nil && aggsCanErr(vaggs, snap.Len()) && compileFilter(sel.Where, snap, rawW, 1) == nil {
-		return nil, false, nil
-	}
-
 	// Scatter: each shard runs the full selection → group-id → accumulate
 	// pipeline over its slice. Shards fan out across the existing worker
 	// pool; a shard's internal morsel scans use the same pool size. Errors
@@ -220,23 +171,10 @@ func runAggregateSharded(ctx context.Context, snap *table.Snapshot, sel *sql.Sel
 	// exactly like the unsharded scan.
 	bounds := shardBounds(snap.Len(), opts.Shards)
 	partials := make([]*ShardPartial, len(bounds))
-	err = forEachTask(ctx, len(bounds), workers, func(s int) error {
-		lo, hi := bounds[s][0], bounds[s][1]
-		sub := snap.SliceRange(lo, hi)
-		var wo []float64
-		if opts.WeightOverride != nil {
-			wo = opts.WeightOverride[lo:hi]
-		}
-		p, err := shardPartialAggregate(ctx, sub, sel, keyIdx, wo, opts, workers)
-		if err != nil {
-			return err
-		}
-		p.Rows = hi - lo
-		if opts.ShardScan != nil {
-			opts.ShardScan(s, hi-lo)
-		}
+	err = forEachTask(ctx, len(bounds), opts.workers(), func(s int) error {
+		p, err := shardPartialAggregate(ctx, snap, sel, keyIdx, opts, s, bounds[s])
 		partials[s] = p
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, true, err
@@ -319,13 +257,45 @@ func gatherShardPartials(ctx context.Context, sel *sql.Select, partials []*Shard
 	return res, nil
 }
 
-// shardPartialAggregate runs the vectorized aggregate pipeline over one
-// shard slice and returns its partial states keyed by group identity.
-func shardPartialAggregate(ctx context.Context, sub *table.Snapshot, sel *sql.Select, keyIdx []int, weightOverride []float64, opts Options, workers int) (*ShardPartial, error) {
-	rawW := sub.Weights()
-	if weightOverride != nil {
-		rawW = weightOverride
+// planSharded resolves the group keys and makes the engage/decline decision
+// of a sharded aggregate. It runs against the FULL snapshot and mirrors
+// runAggregateVector exactly: plannability depends only on schema and
+// expression shape, and the error-ordering guard (a compiled aggregate
+// input that can divide by zero under a filter that needs the interpreter)
+// on the full row count. Every shard — in process, or a fleet process
+// holding the same data — therefore reaches the same decision. ok=false
+// declines: the caller answers through the unsharded paths.
+func planSharded(snap *table.Snapshot, sel *sql.Select, opts Options) (keyIdx []int, ok bool, err error) {
+	keyIdx, err = resolveGroupKeys(snap, sel)
+	if err != nil {
+		return nil, true, err
 	}
+	rawW := snap.Weights()
+	if opts.WeightOverride != nil {
+		rawW = opts.WeightOverride
+	}
+	comp := &kernelCompiler{snap: snap, weights: rawW, n: snap.Len(), workers: opts.workers()}
+	vaggs, ok := planVectorAggs(comp, sel)
+	if !ok {
+		return nil, false, nil
+	}
+	if sel.Where != nil && aggsCanErr(vaggs, snap.Len()) && compileFilter(sel.Where, snap, rawW, 1) == nil {
+		return nil, false, nil
+	}
+	return keyIdx, true, nil
+}
+
+// shardPartialAggregate runs the vectorized aggregate pipeline over shard
+// `shard`, the contiguous row range bound of snap, and returns its partial
+// states keyed by group identity.
+func shardPartialAggregate(ctx context.Context, snap *table.Snapshot, sel *sql.Select, keyIdx []int, opts Options, shard int, bound [2]int) (*ShardPartial, error) {
+	lo, hi := bound[0], bound[1]
+	sub := snap.SliceRange(lo, hi)
+	rawW := sub.Weights()
+	if opts.WeightOverride != nil {
+		rawW = opts.WeightOverride[lo:hi]
+	}
+	workers := opts.workers()
 	comp := &kernelCompiler{snap: sub, weights: rawW, n: sub.Len(), workers: workers}
 	vaggs, ok := planVectorAggs(comp, sel)
 	if !ok {
@@ -359,6 +329,7 @@ func shardPartialAggregate(ctx context.Context, sub *table.Snapshot, sel *sql.Se
 		Keys:    make([]string, ngroups),
 		KeyVals: make([][]value.Value, ngroups),
 		States:  states,
+		Rows:    hi - lo,
 	}
 	for g := 0; g < ngroups; g++ {
 		row := sub.Row(int(firstRow[g]))
@@ -368,6 +339,9 @@ func shardPartialAggregate(ctx context.Context, sub *table.Snapshot, sel *sql.Se
 		}
 		p.Keys[g] = GroupKey(kv)
 		p.KeyVals[g] = kv
+	}
+	if opts.ShardScan != nil {
+		opts.ShardScan(shard, hi-lo)
 	}
 	return p, nil
 }

@@ -2,11 +2,13 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"mosaic/internal/sql"
+	"mosaic/internal/table"
 	"mosaic/internal/value"
 )
 
@@ -85,6 +87,43 @@ func TestSliceRangeView(t *testing.T) {
 					t.Fatalf("SliceRange%v row %d col %d: %v != %v", lh, i, j, got[j], want[j])
 				}
 			}
+		}
+	}
+}
+
+// TestShardMinMaxNaN pins MIN/MAX when a NaN is the first input a shard
+// sees: 64 rows of 2.0 fill shard 0 of 2, and shard 1 holds NaN then 1.0.
+// The NaN must not pin shard 1's extremum, so every path — row, vectorized
+// and sharded — answers MIN 1 and MAX 2.
+func TestShardMinMaxNaN(t *testing.T) {
+	tbl := table.New("t", diffSchema)
+	ys := make([]float64, 64, 66)
+	for i := range ys {
+		ys[i] = 2
+	}
+	for _, y := range append(ys, math.NaN(), 1) {
+		if err := tbl.Append([]value.Value{value.Text("g"), value.Int(1), value.Float(y), value.Bool(true), value.Int(0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, src := range []string{
+		"SELECT MIN(y), MAX(y) FROM t",
+		"SELECT c, MIN(y), MAX(y) FROM t GROUP BY c",
+		"SELECT MIN(y + 0), MAX(y + 0) FROM t",
+	} {
+		runBoth(t, tbl, src, Options{Weighted: true})
+	}
+	sel, err := sql.ParseQuery("SELECT MIN(y), MAX(y) FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2} {
+		res, err := Run(tbl, sel, Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(res.Rows[0]); got != "[1 2]" {
+			t.Errorf("Shards %d: MIN, MAX = %s, want [1 2]", shards, got)
 		}
 	}
 }

@@ -2,10 +2,13 @@
 //
 // The WHERE clause compiles once into a tree of selection kernels that
 // evaluate SQL's three-valued logic over typed column vectors (one int8
-// truth value per row: false/true/null). Group-by keys densify into small
-// integer ids built from dictionary codes and NaN-canonical float bits —
-// never from per-row strings — and aggregates run as tight loops over typed
-// slices with the weight vector.
+// truth value per row: false/true/null). Numeric predicates — over a
+// column, WEIGHT, a literal or a computed expression — share the numVec
+// kernels in arith.go; BOOL and TEXT columns keep the kernels below, as do
+// cross-class comparisons, which the kind rank alone decides. Group-by keys
+// densify into small integer ids built from dictionary codes and
+// NaN-canonical float bits — never from per-row strings — and aggregates
+// run as tight loops over typed slices with the weight vector.
 //
 // Determinism contract: the vectorized path is byte-identical to the row
 // interpreter on every query it accepts. Group output order is
@@ -220,18 +223,13 @@ func (c *kernelCompiler) compileColTruth(name string) kernel {
 	if !ok {
 		return nil
 	}
-	switch {
-	case ref.isWeight:
-		return &truthFloatKernel{xs: ref.weight}
-	case ref.kind == value.KindInt:
-		return &truthIntKernel{xs: ref.col.Ints, col: ref.col}
-	case ref.kind == value.KindFloat:
-		return &truthFloatKernel{xs: ref.col.Floats, col: ref.col}
-	case ref.kind == value.KindBool:
-		return &truthBoolKernel{xs: ref.col.Bools, col: ref.col}
-	default:
-		return nil // truth of TEXT errors per row in the interpreter
+	if v := numRef(ref); v != nil {
+		return &truthNumKernel{v: v}
 	}
+	if ref.kind == value.KindBool {
+		return &truthBoolKernel{xs: ref.col.Bools, col: ref.col}
+	}
+	return nil // truth of TEXT errors per row in the interpreter
 }
 
 // cmpLUT maps a comparison result c ∈ {-1,0,1} (index c+1) to the ternary
@@ -322,20 +320,7 @@ func (c *kernelCompiler) compileColLit(op expr.BinOp, ref colRef, lit value.Valu
 	}
 	switch refCls {
 	case value.ClassNum:
-		if ref.isWeight {
-			lf, _ := lit.Float64()
-			return &cmpFloatLitKernel{xs: ref.weight, lit: lf, lut: lut}
-		}
-		if ref.kind == value.KindInt && lit.Kind() == value.KindInt {
-			// INT vs INT compares exactly (value.Compare avoids float
-			// rounding on large ints).
-			return &cmpIntLitKernel{xs: ref.col.Ints, lit: lit.AsInt(), lut: lut, col: ref.col}
-		}
-		lf, _ := lit.Float64()
-		if ref.kind == value.KindInt {
-			return &cmpIntFloatLitKernel{xs: ref.col.Ints, lit: lf, lut: lut, col: ref.col}
-		}
-		return &cmpFloatLitKernel{xs: ref.col.Floats, lit: lf, lut: lut, col: ref.col}
+		return newCmpNumNum(numRef(ref), c.numConst(lit), lut)
 	case value.ClassBool:
 		return &cmpBoolLitKernel{xs: ref.col.Bools, lit: lit.AsBool(), lut: lut, col: ref.col}
 	case value.ClassText:
@@ -369,10 +354,7 @@ func (c *kernelCompiler) compileColCol(op expr.BinOp, a, b colRef) kernel {
 	}
 	switch ca {
 	case value.ClassNum:
-		if a.kind == value.KindInt && b.kind == value.KindInt {
-			return &cmpIntIntColKernel{a: a.col.Ints, b: b.col.Ints, lut: lut, ca: a.col, cb: b.col}
-		}
-		return &cmpFloatFloatColKernel{a: numFloats(a, c.n), b: numFloats(b, c.n), lut: lut, ca: a.nulls(), cb: b.nulls()}
+		return newCmpNumNum(numRef(a), numRef(b), lut)
 	case value.ClassBool:
 		return &cmpBoolBoolColKernel{a: a.col.Bools, b: b.col.Bools, lut: lut, ca: a.col, cb: b.col}
 	case value.ClassText:
@@ -383,22 +365,6 @@ func (c *kernelCompiler) compileColCol(op expr.BinOp, a, b colRef) kernel {
 	default:
 		return nil
 	}
-}
-
-// numFloats materializes a numeric operand as a float64 slice (the weight
-// vector, the float column, or a converted int column).
-func numFloats(r colRef, n int) []float64 {
-	if r.isWeight {
-		return r.weight
-	}
-	if r.kind == value.KindFloat {
-		return r.col.Floats
-	}
-	out := make([]float64, n)
-	for i, x := range r.col.Ints {
-		out[i] = float64(x)
-	}
-	return out
 }
 
 func (c *kernelCompiler) compileIn(ex *expr.In) kernel {
@@ -415,102 +381,58 @@ func (c *kernelCompiler) compileIn(ex *expr.In) kernel {
 		}
 		vals = append(vals, v)
 	}
-	col, ok := ex.Child.(*expr.Column)
-	if !ok {
-		// Computed membership test: (x*2) IN (4, 8).
-		v := c.compileNum(ex.Child)
-		if v == nil {
+	if col, ok := ex.Child.(*expr.Column); ok {
+		ref, ok := c.resolve(col.Name)
+		if !ok {
 			return nil
 		}
-		v = v.full(c.n) // inNumKernel indexes per row
-		k := &inNumKernel{v: v, sawNull: sawNull, negate: ex.Negate, floats: map[uint64]bool{}}
-		if v.isInt {
-			k.ints = map[int64]bool{}
-			for _, item := range vals {
-				switch item.Kind() {
-				case value.KindInt:
-					k.ints[item.AsInt()] = true
-				case value.KindFloat:
-					k.floats[eqBits(item.AsFloat())] = true
-				}
-			}
-		} else {
-			for _, item := range vals {
-				if classOf(item.Kind()) == value.ClassNum {
-					f, _ := item.Float64()
-					k.floats[eqBits(f)] = true
-				}
-			}
-		}
-		k.anyNum, k.nanItem = numListTraits(vals)
-		return k
-	}
-	ref, ok := c.resolve(col.Name)
-	if !ok {
-		return nil
-	}
-	switch classOf(ref.kind) {
-	case value.ClassNum:
-		// Other classes can never equal a numeric value (kind rank), so
-		// only numeric list items enter the sets. NaN needs its own flags:
-		// under value.Equal a NaN equals EVERY numeric (Compare finds
-		// neither smaller), so a NaN child matches any numeric item and a
-		// NaN item matches any numeric child — hash sets alone cannot say
-		// that (see numListTraits).
-		anyNum, nanItem := numListTraits(vals)
-		if ref.kind == value.KindInt && !ref.isWeight {
-			// value.Equal compares INT against INT exactly (no float64
-			// rounding on large ints), so INT items get their own exact
-			// set; FLOAT items compare through float64 as the row path
-			// does.
-			intSet := make(map[int64]bool, len(vals))
-			floatSet := make(map[uint64]bool, len(vals))
+		switch classOf(ref.kind) {
+		case value.ClassBool:
+			wantT, wantF := false, false
 			for _, v := range vals {
-				switch v.Kind() {
-				case value.KindInt:
-					intSet[v.AsInt()] = true
-				case value.KindFloat:
-					floatSet[eqBits(v.AsFloat())] = true
+				if v.Kind() == value.KindBool {
+					if v.AsBool() {
+						wantT = true
+					} else {
+						wantF = true
+					}
 				}
 			}
-			return &inIntKernel{xs: ref.col.Ints, ints: intSet, floats: floatSet, nanItem: nanItem, sawNull: sawNull, negate: ex.Negate, col: ref.col}
-		}
-		set := make(map[uint64]bool, len(vals))
-		for _, v := range vals {
-			if classOf(v.Kind()) == value.ClassNum {
-				f, _ := v.Float64()
-				set[eqBits(f)] = true
-			}
-		}
-		if ref.isWeight {
-			return &inFloatKernel{xs: ref.weight, set: set, anyNum: anyNum, nanItem: nanItem, sawNull: sawNull, negate: ex.Negate}
-		}
-		return &inFloatKernel{xs: ref.col.Floats, set: set, anyNum: anyNum, nanItem: nanItem, sawNull: sawNull, negate: ex.Negate, col: ref.col}
-	case value.ClassBool:
-		wantT, wantF := false, false
-		for _, v := range vals {
-			if v.Kind() == value.KindBool {
-				if v.AsBool() {
-					wantT = true
-				} else {
-					wantF = true
+			return &inBoolKernel{xs: ref.col.Bools, wantT: wantT, wantF: wantF, sawNull: sawNull, negate: ex.Negate, col: ref.col}
+		case value.ClassText:
+			set := make(map[uint32]bool, len(vals))
+			for _, v := range vals {
+				if v.Kind() == value.KindText {
+					if code, found := c.snap.DictLookup(v.AsText()); found {
+						set[code] = true
+					}
 				}
 			}
+			return &inTextKernel{xs: ref.col.Codes, set: set, sawNull: sawNull, negate: ex.Negate, col: ref.col}
 		}
-		return &inBoolKernel{xs: ref.col.Bools, wantT: wantT, wantF: wantF, sawNull: sawNull, negate: ex.Negate, col: ref.col}
-	case value.ClassText:
-		set := make(map[uint32]bool, len(vals))
-		for _, v := range vals {
-			if v.Kind() == value.KindText {
-				if code, found := c.snap.DictLookup(v.AsText()); found {
-					set[code] = true
-				}
-			}
-		}
-		return &inTextKernel{xs: ref.col.Codes, set: set, sawNull: sawNull, negate: ex.Negate, col: ref.col}
-	default:
+	}
+	v := c.compileNum(ex.Child)
+	if v == nil {
 		return nil
 	}
+	v = v.full(c.n) // inNumKernel indexes per row
+	// Other classes can never equal a numeric value (kind rank), so only
+	// numeric list items enter the sets.
+	k := &inNumKernel{v: v, sawNull: sawNull, negate: ex.Negate, floats: map[uint64]bool{}}
+	if v.isInt {
+		k.ints = map[int64]bool{}
+	}
+	for _, item := range vals {
+		switch {
+		case v.isInt && item.Kind() == value.KindInt:
+			k.ints[item.AsInt()] = true
+		case classOf(item.Kind()) == value.ClassNum:
+			f, _ := item.Float64()
+			k.floats[eqBits(f)] = true
+		}
+	}
+	k.anyNum, k.nanItem = numListTraits(vals)
+	return k
 }
 
 func (c *kernelCompiler) compileBetween(ex *expr.Between) kernel {
@@ -569,20 +491,23 @@ func (c *kernelCompiler) compileBetween(ex *expr.Between) kernel {
 }
 
 func (c *kernelCompiler) compileIsNull(ex *expr.IsNull) kernel {
-	col, ok := ex.Child.(*expr.Column)
-	if !ok {
-		// Computed child: x + y IS NULL.
-		v := c.compileNum(ex.Child)
-		if v == nil {
+	if col, ok := ex.Child.(*expr.Column); ok {
+		ref, ok := c.resolve(col.Name)
+		if !ok {
 			return nil
 		}
-		return &isNullNumKernel{v: v.full(c.n), negate: ex.Negate}
+		if ref.col == nil {
+			return &isNullKernel{negate: ex.Negate} // WEIGHT is never NULL
+		}
+		return &isNullKernel{nulls: ref.col.Nulls, negate: ex.Negate}
 	}
-	ref, ok := c.resolve(col.Name)
-	if !ok {
+	// Computed child: x + y IS NULL. Its division errors still surface.
+	v := c.compileNum(ex.Child)
+	if v == nil {
 		return nil
 	}
-	return &isNullKernel{col: ref.nulls(), negate: ex.Negate}
+	v = v.full(c.n)
+	return &isNullKernel{nulls: v.nulls, errs: v.errs, negate: ex.Negate}
 }
 
 // eqBits maps a float64 onto the code space used for IN-list membership:
@@ -652,30 +577,6 @@ func overlayNulls(dst []int8, col *table.Column, lo int) {
 			dst[i] = ternNull
 		}
 	}
-}
-
-type truthIntKernel struct {
-	xs  []int64
-	col *table.Column
-}
-
-func (k *truthIntKernel) eval(dst []int8, lo, hi int) {
-	for i, x := range k.xs[lo:hi] {
-		dst[i] = ternOf(x != 0)
-	}
-	overlayNulls(dst, k.col, lo)
-}
-
-type truthFloatKernel struct {
-	xs  []float64
-	col *table.Column
-}
-
-func (k *truthFloatKernel) eval(dst []int8, lo, hi int) {
-	for i, x := range k.xs[lo:hi] {
-		dst[i] = ternOf(x != 0)
-	}
-	overlayNulls(dst, k.col, lo)
 }
 
 type truthBoolKernel struct {
@@ -754,75 +655,6 @@ func (k *logicKernel) eval(dst []int8, lo, hi int) {
 	}
 }
 
-type cmpIntLitKernel struct {
-	xs  []int64
-	lit int64
-	lut [3]int8
-	col *table.Column
-}
-
-func (k *cmpIntLitKernel) eval(dst []int8, lo, hi int) {
-	tl, te, tg := k.lut[0], k.lut[1], k.lut[2]
-	for i, x := range k.xs[lo:hi] {
-		switch {
-		case x < k.lit:
-			dst[i] = tl
-		case x > k.lit:
-			dst[i] = tg
-		default:
-			dst[i] = te
-		}
-	}
-	overlayNulls(dst, k.col, lo)
-}
-
-type cmpIntFloatLitKernel struct {
-	xs  []int64
-	lit float64
-	lut [3]int8
-	col *table.Column
-}
-
-func (k *cmpIntFloatLitKernel) eval(dst []int8, lo, hi int) {
-	tl, te, tg := k.lut[0], k.lut[1], k.lut[2]
-	for i, x := range k.xs[lo:hi] {
-		f := float64(x)
-		switch {
-		case f < k.lit:
-			dst[i] = tl
-		case f > k.lit:
-			dst[i] = tg
-		default:
-			dst[i] = te
-		}
-	}
-	overlayNulls(dst, k.col, lo)
-}
-
-type cmpFloatLitKernel struct {
-	xs  []float64
-	lit float64
-	lut [3]int8
-	col *table.Column
-}
-
-func (k *cmpFloatLitKernel) eval(dst []int8, lo, hi int) {
-	tl, te, tg := k.lut[0], k.lut[1], k.lut[2]
-	for i, x := range k.xs[lo:hi] {
-		// NaN takes the eq branch, matching value.Compare's "neither
-		// smaller" result of 0.
-		switch {
-		case x < k.lit:
-			dst[i] = tl
-		case x > k.lit:
-			dst[i] = tg
-		default:
-			dst[i] = te
-		}
-	}
-	overlayNulls(dst, k.col, lo)
-}
-
 type cmpBoolLitKernel struct {
 	xs  []bool
 	lit bool
@@ -888,54 +720,6 @@ func (k *cmpTextTableKernel) eval(dst []int8, lo, hi int) {
 	overlayNulls(dst, k.col, lo)
 }
 
-type cmpIntIntColKernel struct {
-	a, b   []int64
-	lut    [3]int8
-	ca, cb *table.Column
-}
-
-func (k *cmpIntIntColKernel) eval(dst []int8, lo, hi int) {
-	tl, te, tg := k.lut[0], k.lut[1], k.lut[2]
-	b := k.b[lo:hi]
-	for i, x := range k.a[lo:hi] {
-		y := b[i]
-		switch {
-		case x < y:
-			dst[i] = tl
-		case x > y:
-			dst[i] = tg
-		default:
-			dst[i] = te
-		}
-	}
-	overlayNulls(dst, k.ca, lo)
-	overlayNulls(dst, k.cb, lo)
-}
-
-type cmpFloatFloatColKernel struct {
-	a, b   []float64
-	lut    [3]int8
-	ca, cb *table.Column
-}
-
-func (k *cmpFloatFloatColKernel) eval(dst []int8, lo, hi int) {
-	tl, te, tg := k.lut[0], k.lut[1], k.lut[2]
-	b := k.b[lo:hi]
-	for i, x := range k.a[lo:hi] {
-		y := b[i]
-		switch {
-		case x < y:
-			dst[i] = tl
-		case x > y:
-			dst[i] = tg
-		default:
-			dst[i] = te
-		}
-	}
-	overlayNulls(dst, k.ca, lo)
-	overlayNulls(dst, k.cb, lo)
-}
-
 type cmpBoolBoolColKernel struct {
 	a, b   []bool
 	lut    [3]int8
@@ -992,9 +776,12 @@ func (k *cmpTextTextOrdColKernel) eval(dst []int8, lo, hi int) {
 	overlayNulls(dst, k.cb, lo)
 }
 
+// isNullKernel is IS [NOT] NULL over a null bitmap (nil: no NULL rows). A
+// computed child also carries its error bitmap: division errors raise even
+// though IS NULL itself never does.
 type isNullKernel struct {
-	col    *table.Column // nil: WEIGHT, never null
-	negate bool
+	nulls, errs []uint64
+	negate      bool
 }
 
 func (k *isNullKernel) eval(dst []int8, lo, hi int) {
@@ -1002,15 +789,8 @@ func (k *isNullKernel) eval(dst []int8, lo, hi int) {
 	for i := range dst {
 		dst[i] = base
 	}
-	if k.col == nil || !k.col.HasNulls() {
-		return
-	}
-	hit := ternOf(!k.negate)
-	for i := range dst {
-		if k.col.Null(lo + i) {
-			dst[i] = hit
-		}
-	}
+	overlayBits(dst, k.nulls, ternOf(!k.negate), lo)
+	overlayBits(dst, k.errs, ternErr, lo)
 }
 
 // numListTraits inspects the numeric items of an IN list: whether any
@@ -1028,64 +808,6 @@ func numListTraits(vals []value.Value) (anyNum, nanItem bool) {
 		}
 	}
 	return anyNum, nanItem
-}
-
-// inIntKernel tests INT-column membership with value.Equal semantics: INT
-// list items match exactly on int64, FLOAT items through float64 (exactly
-// the asymmetry value.Compare has), and a NaN item matches every child
-// (value.Compare(x, NaN) finds neither smaller, so Equal is true).
-type inIntKernel struct {
-	xs      []int64
-	ints    map[int64]bool
-	floats  map[uint64]bool
-	nanItem bool
-	sawNull bool
-	negate  bool
-	col     *table.Column
-}
-
-func (k *inIntKernel) eval(dst []int8, lo, hi int) {
-	match, miss := ternOf(!k.negate), ternOf(k.negate)
-	if k.sawNull {
-		miss = ternNull
-	}
-	for i, x := range k.xs[lo:hi] {
-		hit := k.nanItem || k.ints[x]
-		if !hit && len(k.floats) > 0 {
-			hit = k.floats[eqBits(float64(x))]
-		}
-		if hit {
-			dst[i] = match
-		} else {
-			dst[i] = miss
-		}
-	}
-	overlayNulls(dst, k.col, lo)
-}
-
-type inFloatKernel struct {
-	xs      []float64
-	set     map[uint64]bool
-	anyNum  bool // a NaN child matches as soon as any numeric item exists
-	nanItem bool // a NaN item matches every child
-	sawNull bool
-	negate  bool
-	col     *table.Column
-}
-
-func (k *inFloatKernel) eval(dst []int8, lo, hi int) {
-	match, miss := ternOf(!k.negate), ternOf(k.negate)
-	if k.sawNull {
-		miss = ternNull
-	}
-	for i, x := range k.xs[lo:hi] {
-		if k.nanItem || k.set[eqBits(x)] || (k.anyNum && math.IsNaN(x)) {
-			dst[i] = match
-		} else {
-			dst[i] = miss
-		}
-	}
-	overlayNulls(dst, k.col, lo)
 }
 
 type inBoolKernel struct {
@@ -1671,7 +1393,6 @@ func accumulate(a vecAgg, st *PartialStates, snap *table.Snapshot, selRows, gids
 			}
 		}
 	case sql.AggMin, sql.AggMax:
-		wantLess := a.kind == sql.AggMin
 		for k, ri := range selRows {
 			var v value.Value
 			switch {
@@ -1693,14 +1414,9 @@ func accumulate(a vecAgg, st *PartialStates, snap *table.Snapshot, selRows, gids
 				continue
 			}
 			g := gids[k]
-			if !st.Seen[g] {
+			if !st.Seen[g] || replacesExtremum(a.kind, v, st.MinMax[g]) {
 				st.MinMax[g] = v
 				st.Seen[g] = true
-				continue
-			}
-			c := value.Compare(v, st.MinMax[g])
-			if (wantLess && c < 0) || (!wantLess && c > 0) {
-				st.MinMax[g] = v
 			}
 		}
 	}

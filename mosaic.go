@@ -350,6 +350,19 @@ func (db *DB) SaveSnapshot(path string) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("mosaic: snapshot: %w", err)
 	}
+	// The rename is only durable once the directory entry is: sync the
+	// parent directory, or a crash can bring back the old snapshot.
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("mosaic: snapshot: %w", err)
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return fmt.Errorf("mosaic: snapshot: %w", err)
+	}
+	if err := d.Close(); err != nil {
+		return fmt.Errorf("mosaic: snapshot: %w", err)
+	}
 	return nil
 }
 
