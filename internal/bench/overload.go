@@ -325,7 +325,7 @@ func RunOverload(cfg OverloadConfig) (*OverloadResult, error) {
 			return nil, err
 		}
 		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("X-Mosaic-Deadline-Ms", "0")
+		req.Header.Set(wire.DeadlineHeader, "0")
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			return nil, fmt.Errorf("bench: doomed probe %d: %v", i, err)

@@ -42,7 +42,6 @@ package coord
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -59,11 +58,6 @@ import (
 	"mosaic/internal/value"
 	"mosaic/internal/wire"
 )
-
-// deadlineHeader mirrors the mosaic-serve header: the client's remaining
-// budget in milliseconds, intersected with the coordinator's own
-// RequestTimeout and re-propagated to every shard call.
-const deadlineHeader = "X-Mosaic-Deadline-Ms"
 
 // Config configures a Coordinator.
 type Config struct {
@@ -85,8 +79,6 @@ type Config struct {
 	// RequestTimeout bounds every request end to end, intersected with any
 	// client-propagated X-Mosaic-Deadline-Ms. Default 30s.
 	RequestTimeout time.Duration
-	// MaxBodyBytes caps request bodies. Default 1 MiB.
-	MaxBodyBytes int64
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -97,9 +89,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -377,63 +366,26 @@ func (c *Coordinator) countRead(b *backend) {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, wire.ErrorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
 // writeUnavailable answers 503 with a Retry-After hint — the coordinator's
 // only failure answer for shard trouble; it never serves a partial result.
 func (c *Coordinator) writeUnavailable(w http.ResponseWriter, hint time.Duration, format string, args ...any) {
 	c.unavail.Add(1)
-	secs := int(hint.Round(time.Second).Seconds())
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeError(w, http.StatusServiceUnavailable, format, args...)
+	wire.WriteUnavailable(w, hint, format, args...)
 }
 
-// decodeBody decodes a JSON body under the MaxBodyBytes cap (413 oversized,
-// 400 malformed), reporting success.
-func (c *Coordinator) decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
-	body := http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(into); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds the %d-byte limit", mbe.Limit)
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
-	}
-	return true
-}
-
-// requestCtx derives the request's end-to-end deadline: RequestTimeout
-// intersected with any propagated X-Mosaic-Deadline-Ms. The remaining budget
-// re-propagates to every shard call through the client's own header logic.
+// requestCtx derives the request's end-to-end deadline (wire.RequestBudget:
+// RequestTimeout intersected with any propagated client deadline). The
+// remaining budget re-propagates to every shard call through the client's
+// own header logic.
 func (c *Coordinator) requestCtx(w http.ResponseWriter, r *http.Request) (context.Context, context.CancelFunc, bool) {
-	timeout := c.cfg.RequestTimeout
-	if raw := r.Header.Get(deadlineHeader); raw != "" {
-		ms, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad %s %q: want integer milliseconds", deadlineHeader, raw)
-			return nil, nil, false
-		}
-		budget := time.Duration(ms) * time.Millisecond
-		if budget <= 0 {
-			c.writeUnavailable(w, time.Second, "deadline already expired (budget %s)", budget)
-			return nil, nil, false
-		}
-		if budget < timeout {
-			timeout = budget
-		}
+	timeout, err := wire.RequestBudget(r, c.cfg.RequestTimeout)
+	if err != nil {
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
+		return nil, nil, false
+	}
+	if timeout <= 0 {
+		c.writeUnavailable(w, time.Second, "deadline already expired (budget %s)", timeout)
+		return nil, nil, false
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	return ctx, cancel, true
@@ -447,7 +399,7 @@ func (c *Coordinator) relayRemote(w http.ResponseWriter, err error, what string)
 	var re *client.RemoteError
 	if errors.As(err, &re) {
 		if re.StatusCode/100 == 4 {
-			writeError(w, re.StatusCode, "%s", re.Message)
+			wire.WriteError(w, re.StatusCode, "%s", re.Message)
 			return
 		}
 		c.writeUnavailable(w, re.RetryAfter, "%s unavailable: %s", what, re.Message)
@@ -456,33 +408,44 @@ func (c *Coordinator) relayRemote(w http.ResponseWriter, err error, what string)
 	c.writeUnavailable(w, 0, "%s unreachable: %v", what, err)
 }
 
-// readUnavailable turns the LAST failover error for a shard slot into the
-// coordinator's 503 — reached only after every candidate backend failed.
+// readUnavailable answers a shard slot's failed read (readShard's error). A
+// deterministic engine error is relayed verbatim; anything else was reached
+// only after every candidate backend failed and answers 503.
 func (c *Coordinator) readUnavailable(w http.ResponseWriter, err error, shard int) {
 	var re *client.RemoteError
-	if errors.As(err, &re) {
-		if re.StatusCode == http.StatusConflict {
-			c.writeUnavailable(w, re.RetryAfter, "shard %d diverged from fleet generation %d: %s", shard, c.gen.Load(), re.Message)
-			return
-		}
+	switch {
+	case !errors.As(err, &re):
+		c.writeUnavailable(w, 0, "shard %d unreachable on every backend: %v", shard, err)
+	case re.StatusCode == http.StatusConflict:
+		// Every backend answered from a diverged or moving generation:
+		// refusing is the whole point of the handshake.
+		c.writeUnavailable(w, re.RetryAfter, "shard %d diverged from fleet generation %d: %s", shard, c.gen.Load(), re.Message)
+	case re.StatusCode/100 == 4:
+		wire.WriteError(w, re.StatusCode, "%s", re.Message)
+	default:
 		c.writeUnavailable(w, re.RetryAfter, "shard %d unavailable on every backend: %s", shard, re.Message)
-		return
 	}
-	c.writeUnavailable(w, 0, "shard %d unreachable on every backend: %v", shard, err)
 }
 
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		wire.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var req wire.QueryRequest
-	if !c.decodeBody(w, r, &req) {
+	if !wire.DecodeBody(w, r, &req) {
 		return
 	}
 	sel, err := sql.ParseQuery(req.Query)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	// Bind once, before any fan-out: a malformed parameter list is the
+	// client's error, answered here instead of by every shard.
+	bound, err := wire.BindQuery(sel, req.Params)
+	if err != nil {
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	ctx, cancel, ok := c.requestCtx(w, r)
@@ -497,20 +460,50 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// non-aggregate shapes return raw tuples — neither decomposes into
 	// mergeable partial states. Both pass through whole; every shard holds
 	// the full data, so shard 0's answer IS the fleet's answer.
-	if sel.Visibility == sql.VisibilityOpen || !sel.HasAggregates() {
+	if bound.Visibility == sql.VisibilityOpen || !bound.HasAggregates() {
 		c.passQueryLocked(ctx, w, &req)
 		return
 	}
-	c.scatterQueryLocked(ctx, w, &req, sel)
+	c.scatterQueryLocked(ctx, w, &req, bound)
+}
+
+// readShard runs one shard slot's read with failover: call is tried on
+// every eligible backend (cheapest EWMA first) until one succeeds. A
+// deterministic engine error (4xx except the generation handshake's 409)
+// returns at once — it answers identically everywhere; the last error
+// returns when every backend failed.
+func (c *Coordinator) readShard(ctx context.Context, shard int, call func(b *backend) error) error {
+	var lastErr error
+	for _, b := range c.readCandidates(shard) {
+		start := time.Now()
+		err := call(b)
+		if err == nil {
+			b.observe(time.Since(start))
+			c.countRead(b)
+			return nil
+		}
+		c.shardErrors.Add(1)
+		lastErr = err
+		var re *client.RemoteError
+		if errors.As(err, &re) && re.StatusCode/100 == 4 && re.StatusCode != http.StatusConflict {
+			return err
+		}
+		b.failovers.Add(1)
+		c.failovers.Add(1)
+		if ctx.Err() != nil {
+			break
+		}
+	}
+	return lastErr
 }
 
 // passQueryLocked relays the whole query to shard slot 0 — primary or any
-// caught-up replica, cheapest first — and the winning answer verbatim,
-// failing over until a backend answers. Callers hold fleetMu.RLock.
+// caught-up replica, cheapest first — and the winning answer verbatim.
+// Callers hold fleetMu.RLock.
 func (c *Coordinator) passQueryLocked(ctx context.Context, w http.ResponseWriter, req *wire.QueryRequest) {
 	gen := c.gen.Load()
-	var lastErr error
-	for _, b := range c.readCandidates(0) {
+	var res *wire.Result
+	err := c.readShard(ctx, 0, func(b *backend) error {
 		rq := *req
 		if b.replica {
 			// Pin the replica to the fleet generation: a follower that lags
@@ -519,60 +512,16 @@ func (c *Coordinator) passQueryLocked(ctx context.Context, w http.ResponseWriter
 			rq.Generation = gen
 			rq.CheckGeneration = true
 		}
-		start := time.Now()
-		res, err := b.cli.QueryRawContext(ctx, &rq)
-		if err == nil {
-			b.observe(time.Since(start))
-			c.countRead(b)
-			c.passThrough.Add(1)
-			writeJSON(w, http.StatusOK, res)
-			return
-		}
-		c.shardErrors.Add(1)
-		var re *client.RemoteError
-		if errors.As(err, &re) && re.StatusCode/100 == 4 && re.StatusCode != http.StatusConflict {
-			// Deterministic engine errors answer identically on every
-			// backend: relay, don't fail over.
-			writeError(w, re.StatusCode, "%s", re.Message)
-			return
-		}
-		b.failovers.Add(1)
-		c.failovers.Add(1)
-		lastErr = err
-		if ctx.Err() != nil {
-			break
-		}
+		var err error
+		res, err = b.cli.QueryRawContext(ctx, &rq)
+		return err
+	})
+	if err != nil {
+		c.readUnavailable(w, err, 0)
+		return
 	}
-	c.readUnavailable(w, lastErr, 0)
-}
-
-// shardPartial runs one shard slot's scatter leg with failover: try every
-// eligible backend (cheapest EWMA first) until one returns the slot's
-// partial states. Deterministic engine errors (4xx except the generation
-// 409) return immediately — they answer identically everywhere.
-func (c *Coordinator) shardPartial(ctx context.Context, shard int, req *wire.PartialRequest) (*wire.PartialResponse, error) {
-	var lastErr error
-	for _, b := range c.readCandidates(shard) {
-		start := time.Now()
-		resp, err := b.cli.PartialContext(ctx, req)
-		if err == nil {
-			b.observe(time.Since(start))
-			c.countRead(b)
-			return resp, nil
-		}
-		c.shardErrors.Add(1)
-		lastErr = err
-		var re *client.RemoteError
-		if errors.As(err, &re) && re.StatusCode/100 == 4 && re.StatusCode != http.StatusConflict {
-			return nil, err
-		}
-		b.failovers.Add(1)
-		c.failovers.Add(1)
-		if ctx.Err() != nil {
-			break
-		}
-	}
-	return nil, lastErr
+	c.passThrough.Add(1)
+	wire.WriteJSON(w, http.StatusOK, res)
 }
 
 // scatterQueryLocked fans the partial plan over every shard slot, gathers
@@ -580,7 +529,7 @@ func (c *Coordinator) shardPartial(ctx context.Context, shard int, req *wire.Par
 // HAVING, ORDER BY, LIMIT) locally. Each slot fails over across its
 // backends; a slot where every backend fails, declines, or answers at the
 // wrong generation aborts the whole answer. Callers hold fleetMu.RLock.
-func (c *Coordinator) scatterQueryLocked(ctx context.Context, w http.ResponseWriter, req *wire.QueryRequest, sel *sql.Select) {
+func (c *Coordinator) scatterQueryLocked(ctx context.Context, w http.ResponseWriter, req *wire.QueryRequest, bound *sql.Select) {
 	gen := c.gen.Load()
 	n := len(c.backends)
 	resps := make([]*wire.PartialResponse, n)
@@ -590,40 +539,27 @@ func (c *Coordinator) scatterQueryLocked(ctx context.Context, w http.ResponseWri
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resps[i], errs[i] = c.shardPartial(ctx, i, &wire.PartialRequest{
+			preq := &wire.PartialRequest{
 				Query:           req.Query,
 				Params:          req.Params,
 				Shard:           i,
 				Shards:          n,
 				Generation:      gen,
 				CheckGeneration: true,
+			}
+			errs[i] = c.readShard(ctx, i, func(b *backend) error {
+				var err error
+				resps[i], err = b.cli.PartialContext(ctx, preq)
+				return err
 			})
 		}(i)
 	}
 	wg.Wait()
 	for i, err := range errs {
-		if err == nil {
-			continue
+		if err != nil {
+			c.readUnavailable(w, err, i)
+			return
 		}
-		var re *client.RemoteError
-		if errors.As(err, &re) {
-			switch {
-			case re.StatusCode == http.StatusConflict:
-				// Every backend of the slot answered from a diverged or
-				// moving generation: refusing is the whole point of the
-				// handshake — never answer from it.
-				c.writeUnavailable(w, re.RetryAfter, "shard %d diverged from fleet generation %d: %s", i, gen, re.Message)
-			case re.StatusCode/100 == 4:
-				// Deterministic engine errors (unknown relation, unanswerable
-				// visibility) fail identically on every shard; relay the first.
-				writeError(w, re.StatusCode, "%s", re.Message)
-			default:
-				c.writeUnavailable(w, re.RetryAfter, "shard %d unavailable on every backend: %s", i, re.Message)
-			}
-		} else {
-			c.writeUnavailable(w, 0, "shard %d unreachable on every backend: %v", i, err)
-		}
-		return
 	}
 	for _, resp := range resps {
 		if !resp.Handled {
@@ -639,37 +575,27 @@ func (c *Coordinator) scatterQueryLocked(ctx context.Context, w http.ResponseWri
 		p, err := wire.DecodePartial(resp)
 		if err != nil {
 			c.shardErrors.Add(1)
-			writeError(w, http.StatusBadGateway, "shard %d answer undecodable: %v", i, err)
+			wire.WriteError(w, http.StatusBadGateway, "shard %d answer undecodable: %v", i, err)
 			return
 		}
 		partials[i] = p
 	}
-	vals, err := wire.DecodeValues(req.Params)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad parameters: %v", err)
-		return
-	}
-	bound, err := sql.BindParams(sel, vals)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	res, err := exec.GatherPartials(ctx, bound, partials)
 	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
+		wire.WriteError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
 	c.scattered.Add(1)
-	writeJSON(w, http.StatusOK, wire.EncodeResult(res))
+	wire.WriteJSON(w, http.StatusOK, wire.EncodeResult(res))
 }
 
 func (c *Coordinator) handleExec(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		wire.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var req wire.ExecRequest
-	if !c.decodeBody(w, r, &req) {
+	if !wire.DecodeBody(w, r, &req) {
 		return
 	}
 	ctx, cancel, ok := c.requestCtx(w, r)
@@ -714,12 +640,12 @@ func (c *Coordinator) handleExec(w http.ResponseWriter, r *http.Request) {
 				// side — the stale coordinator generation makes every future
 				// scatter 409 into a clean 503 until an operator intervenes.
 				c.cfg.Logf("coord: exec left shards diverged: shard 0 at %d, shard %d at %d", resps[0].Generation, i, resp.Generation)
-				writeError(w, http.StatusBadGateway, "fleet degraded: shard generations diverged after exec (shard 0 at %d, shard %d at %d)", resps[0].Generation, i, resp.Generation)
+				wire.WriteError(w, http.StatusBadGateway, "fleet degraded: shard generations diverged after exec (shard 0 at %d, shard %d at %d)", resps[0].Generation, i, resp.Generation)
 				return
 			}
 		}
 		c.gen.Store(resps[0].Generation)
-		writeJSON(w, http.StatusOK, resps[0])
+		wire.WriteJSON(w, http.StatusOK, resps[0])
 		return
 	}
 	// At least one shard failed. A deterministic script error (bad SQL,
@@ -746,22 +672,22 @@ func (c *Coordinator) handleExec(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	c.cfg.Logf("coord: exec fan-out degraded the fleet: %v (probe: %v)", firstErr, perr)
-	writeError(w, http.StatusBadGateway, "fleet degraded: exec failed on some shards and generations diverged: %v", firstErr)
+	wire.WriteError(w, http.StatusBadGateway, "fleet degraded: exec failed on some shards and generations diverged: %v", firstErr)
 }
 
 func (c *Coordinator) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		wire.WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	q := r.URL.Query().Get("q")
 	if q == "" {
-		writeError(w, http.StatusBadRequest, "missing q parameter")
+		wire.WriteError(w, http.StatusBadRequest, "missing q parameter")
 		return
 	}
 	sel, err := sql.ParseQuery(q)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	ctx, cancel, ok := c.requestCtx(w, r)
@@ -793,7 +719,7 @@ func (c *Coordinator) handleExplain(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	res.Rows = append(res.Rows, shardPlan.Rows...)
-	writeJSON(w, http.StatusOK, wire.EncodeResult(res))
+	wire.WriteJSON(w, http.StatusOK, wire.EncodeResult(res))
 }
 
 // replicaCounts reports how many replicas are configured and how many are
@@ -852,7 +778,7 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 			out.Status = "degraded"
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	wire.WriteJSON(w, http.StatusOK, out)
 }
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -898,5 +824,5 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 			out.Backends = append(out.Backends, bs)
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	wire.WriteJSON(w, http.StatusOK, out)
 }

@@ -37,6 +37,8 @@ var morselQueries = []string{
 	"SELECT y, COUNT(*) FROM t GROUP BY y ORDER BY y",
 	// Full sort on NaN-free keys: the parallel stable merge sort.
 	"SELECT x, id FROM t ORDER BY x, id",
+	// Single-key full sort with ties: the parallel merge sort on the key chain.
+	"SELECT id, x FROM t ORDER BY x DESC",
 	// Full sort on a NaN-carrying key: must take the serial fallback.
 	"SELECT y, id FROM t ORDER BY y, id",
 	// Bounded top-K against the same ordering.

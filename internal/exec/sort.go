@@ -241,7 +241,7 @@ func sortCandidates(ctx context.Context, keys []vecSortKey, cand []int32, worker
 		}
 	}
 	if workers > 1 && len(cand) > morselRows && totalOrder {
-		return parallelSortCandidates(ctx, keys, cand, workers)
+		return parallelStableSort(ctx, cand, workers, func(a, b int32) bool { return rowLess(keys, a, b) })
 	}
 	sort.SliceStable(cand, func(a, b int) bool { return vecKeysLess(keys, cand, a, b) })
 	return nil
@@ -325,126 +325,76 @@ func (s candComposite) Swap(a, b int) {
 }
 
 // sortByComposite stable-sorts cand by its composite rank vector: serial
-// sort.Stable below the parallel threshold, otherwise the same morsel-sort +
-// doubling-merge scheme as parallelSortCandidates with the rank words riding
-// along. Both produce the unique stable permutation of the strict weak order
-// the composite encodes, hence byte-identical output to the key-chain paths.
+// sort.Stable below the parallel threshold, otherwise parallelStableSort
+// over candidate positions ordered by their rank words. Both produce the
+// unique stable permutation of the strict weak order the composite encodes,
+// hence byte-identical output to the key-chain paths.
 func sortByComposite(ctx context.Context, cand []int32, comp []uint64, workers int) error {
 	m := len(cand)
 	if workers <= 1 || m <= morselRows {
 		sort.Stable(candComposite{cand, comp})
 		return nil
 	}
-	if err := forEachMorsel(ctx, m, workers, func(lo, hi int) {
-		sort.Stable(candComposite{cand[lo:hi], comp[lo:hi]})
-	}); err != nil {
+	pos := make([]int32, m)
+	for i := range pos {
+		pos[i] = int32(i)
+	}
+	if err := parallelStableSort(ctx, pos, workers, func(a, b int32) bool { return comp[a] < comp[b] }); err != nil {
 		return err
 	}
-	bufC := make([]int32, m)
-	bufK := make([]uint64, m)
-	srcC, dstC := cand, bufC
-	srcK, dstK := comp, bufK
-	for width := morselRows; width < m; width *= 2 {
-		pairs := (m + 2*width - 1) / (2 * width)
-		w := width
-		sc, dc, sk, dk := srcC, dstC, srcK, dstK
-		if err := forEachTask(ctx, pairs, workers, func(p int) error {
-			if err := checkCtx(ctx); err != nil {
-				return err
-			}
-			lo := p * 2 * w
-			mid, hi := lo+w, lo+2*w
-			if mid > m {
-				mid = m
-			}
-			if hi > m {
-				hi = m
-			}
-			mergeCompositeRuns(sc[lo:mid], sk[lo:mid], sc[mid:hi], sk[mid:hi], dc[lo:hi], dk[lo:hi])
-			return nil
-		}); err != nil {
-			return err
-		}
-		srcC, dstC = dstC, srcC
-		srcK, dstK = dstK, srcK
+	sorted := make([]int32, m)
+	for i, p := range pos {
+		sorted[i] = cand[p]
 	}
-	if &srcC[0] != &cand[0] {
-		copy(cand, srcC)
-	}
+	copy(cand, sorted)
 	return nil
 }
 
-// mergeCompositeRuns merges two adjacent sorted runs, taking from b only when
-// its head rank is strictly less (left preference = stability), moving the
-// rank words alongside the row ids.
-func mergeCompositeRuns(aC []int32, aK []uint64, bC []int32, bK []uint64, outC []int32, outK []uint64) {
-	i, j, k := 0, 0, 0
-	for i < len(aC) && j < len(bC) {
-		if bK[j] < aK[i] {
-			outC[k], outK[k] = bC[j], bK[j]
-			j++
-		} else {
-			outC[k], outK[k] = aC[i], aK[i]
-			i++
-		}
-		k++
-	}
-	for ; i < len(aC); i, k = i+1, k+1 {
-		outC[k], outK[k] = aC[i], aK[i]
-	}
-	for ; j < len(bC); j, k = j+1, k+1 {
-		outC[k], outK[k] = bC[j], bK[j]
-	}
-}
-
-// parallelSortCandidates: stable-sort each morsel-sized run concurrently,
-// then merge adjacent run pairs in passes of doubling width. Left preference
-// on equal keys at every merge preserves stability end to end.
-func parallelSortCandidates(ctx context.Context, keys []vecSortKey, cand []int32, workers int) error {
-	m := len(cand)
+// parallelStableSort is a parallel stable merge sort of s under less, which
+// must be a strict weak order: stable-sort each morsel-sized run
+// concurrently, then merge adjacent run pairs in passes of doubling width.
+// Taking from the right run only when its head is strictly less (left
+// preference) preserves stability end to end, so the result is the unique
+// stable permutation — the one sort.SliceStable produces.
+func parallelStableSort(ctx context.Context, s []int32, workers int, less func(a, b int32) bool) error {
+	m := len(s)
 	if err := forEachMorsel(ctx, m, workers, func(lo, hi int) {
-		run := cand[lo:hi]
-		sort.SliceStable(run, func(a, b int) bool { return rowLess(keys, run[a], run[b]) })
+		run := s[lo:hi]
+		sort.SliceStable(run, func(a, b int) bool { return less(run[a], run[b]) })
 	}); err != nil {
 		return err
 	}
 	buf := make([]int32, m)
-	src, dst := cand, buf
+	src, dst := s, buf
 	for width := morselRows; width < m; width *= 2 {
 		pairs := (m + 2*width - 1) / (2 * width)
 		w := width
-		s, d := src, dst
+		sr, d := src, dst
 		if err := forEachTask(ctx, pairs, workers, func(p int) error {
 			if err := checkCtx(ctx); err != nil {
 				return err
 			}
 			lo := p * 2 * w
-			mid, hi := lo+w, lo+2*w
-			if mid > m {
-				mid = m
-			}
-			if hi > m {
-				hi = m
-			}
-			mergeRuns(keys, s[lo:mid], s[mid:hi], d[lo:hi])
+			mid, hi := min(lo+w, m), min(lo+2*w, m)
+			mergeRuns(sr[lo:mid], sr[mid:hi], d[lo:hi], less)
 			return nil
 		}); err != nil {
 			return err
 		}
 		src, dst = dst, src
 	}
-	if &src[0] != &cand[0] {
-		copy(cand, src)
+	if &src[0] != &s[0] {
+		copy(s, src)
 	}
 	return nil
 }
 
 // mergeRuns merges two adjacent sorted runs into out, taking from b only
 // when its head is strictly less than a's head (left preference = stability).
-func mergeRuns(keys []vecSortKey, a, b, out []int32) {
+func mergeRuns(a, b, out []int32, less func(a, b int32) bool) {
 	i, j, k := 0, 0, 0
 	for i < len(a) && j < len(b) {
-		if rowLess(keys, b[j], a[i]) {
+		if less(b[j], a[i]) {
 			out[k] = b[j]
 			j++
 		} else {

@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
-	"time"
+
+	"mosaic/internal/wire"
 )
 
 // class is a request priority class. Interactive requests (cheap CLOSED /
@@ -30,21 +30,11 @@ func (c class) String() string {
 	return "interactive"
 }
 
-// priorityHeader carries an explicit class; absent, the server derives one
-// (queries: from visibility — OPEN is batch, everything else interactive;
-// exec scripts default to batch; explain to interactive).
-const priorityHeader = "X-Mosaic-Priority"
-
-// deadlineHeader carries the client's remaining budget in milliseconds. The
-// server intersects it with RequestTimeout and sheds the request up front
-// when the budget is already spent or provably insufficient (per-class EWMA
-// estimate) — a 503 with Retry-After before any engine work, instead of
-// burning CPU toward a guaranteed 504.
-const deadlineHeader = "X-Mosaic-Deadline-Ms"
-
-// classFromHeader resolves the explicit priority header, falling back to def.
+// classFromHeader resolves the explicit wire.PriorityHeader, falling back to
+// def (queries: from visibility — OPEN is batch, everything else
+// interactive; exec scripts default to batch; explain to interactive).
 func classFromHeader(r *http.Request, def class) (class, error) {
-	switch strings.ToLower(r.Header.Get(priorityHeader)) {
+	switch strings.ToLower(r.Header.Get(wire.PriorityHeader)) {
 	case "":
 		return def, nil
 	case "interactive":
@@ -52,23 +42,8 @@ func classFromHeader(r *http.Request, def class) (class, error) {
 	case "batch":
 		return classBatch, nil
 	default:
-		return def, fmt.Errorf("bad %s %q: want interactive or batch", priorityHeader, r.Header.Get(priorityHeader))
+		return def, fmt.Errorf("bad %s %q: want interactive or batch", wire.PriorityHeader, r.Header.Get(wire.PriorityHeader))
 	}
-}
-
-// deadlineFromHeader parses the propagated client deadline. ok reports
-// whether the header was present; a present-but-unparseable header is an
-// error. Zero or negative budgets are valid (and doomed — the caller sheds).
-func deadlineFromHeader(r *http.Request) (time.Duration, bool, error) {
-	raw := r.Header.Get(deadlineHeader)
-	if raw == "" {
-		return 0, false, nil
-	}
-	ms, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil {
-		return 0, false, fmt.Errorf("bad %s %q: want integer milliseconds", deadlineHeader, raw)
-	}
-	return time.Duration(ms) * time.Millisecond, true, nil
 }
 
 // QoSConfig is the live-reloadable slice of the server configuration: the

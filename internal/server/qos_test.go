@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +14,13 @@ import (
 
 	"mosaic"
 	"mosaic/internal/wire"
+)
+
+// The request headers under their wire names, for tests that set them by
+// hand.
+const (
+	deadlineHeader = wire.DeadlineHeader
+	priorityHeader = wire.PriorityHeader
 )
 
 // newRawServer is newTestServer without the client wrapper, for tests that
@@ -275,11 +283,11 @@ func TestClientCancelCountsCancelledNotTimeout(t *testing.T) {
 	}
 }
 
-// TestOversizedBodyAnswers413: a body over MaxBodyBytes is a clear 413, not
-// a confusing 400 decode error.
+// TestOversizedBodyAnswers413: a body over wire.MaxBodyBytes is a clear 413,
+// not a confusing 400 decode error.
 func TestOversizedBodyAnswers413(t *testing.T) {
-	_, ts := newRawServer(t, Config{MaxBodyBytes: 128})
-	big, _ := json.Marshal(wire.QueryRequest{Query: "SELECT " + strings.Repeat("1+", 400) + "1"})
+	_, ts := newRawServer(t, Config{})
+	big, _ := json.Marshal(wire.QueryRequest{Query: "SELECT " + strings.Repeat("1+", wire.MaxBodyBytes/2) + "1"})
 	resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(big))
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +300,7 @@ func TestOversizedBodyAnswers413(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&werr); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(werr.Error, "128-byte limit") {
+	if !strings.Contains(werr.Error, fmt.Sprintf("%d-byte limit", wire.MaxBodyBytes)) {
 		t.Errorf("413 message %q does not name the limit", werr.Error)
 	}
 }

@@ -44,7 +44,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -82,8 +81,6 @@ type Config struct {
 	// RequestTimeout bounds each /v1 request (admission wait + execution),
 	// intersected with any client-propagated X-Mosaic-Deadline-Ms. Default 30s.
 	RequestTimeout time.Duration
-	// MaxBodyBytes bounds request bodies (413 beyond it). Default 8 MiB.
-	MaxBodyBytes int64
 	// PlanCacheSize bounds the server-side prepared-plan cache (distinct
 	// query texts). Default 256; negative disables the cache.
 	PlanCacheSize int
@@ -121,9 +118,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
 	}
 	if c.PlanCacheSize == 0 {
 		c.PlanCacheSize = 256
@@ -304,31 +298,11 @@ func (s *Server) snapshotLoop() {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, wire.ErrorResponse{Error: fmt.Sprintf(format, args...)})
-}
-
-// retryAfterSecs derives the Retry-After hint from the class's latency
-// estimate: roughly one expected request duration, at least one second.
-func (s *Server) retryAfterSecs(cl class) int {
-	secs := int(math.Ceil(s.stats.classes[cl].estimate().Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
-}
-
-// writeUnavailable answers 503 with a Retry-After hint — the contract for
-// both shed (deadline unmeetable) and rejected (no slot) outcomes.
+// writeUnavailable answers 503 with a Retry-After hint of roughly one
+// expected request duration of class cl — the contract for both shed
+// (deadline unmeetable) and rejected (no slot) outcomes.
 func (s *Server) writeUnavailable(w http.ResponseWriter, cl class, format string, args ...any) {
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSecs(cl)))
-	writeError(w, http.StatusServiceUnavailable, format, args...)
+	wire.WriteUnavailable(w, s.stats.classes[cl].estimate(), format, args...)
 }
 
 // run executes fn for priority class cl under the admission controller and
@@ -345,21 +319,15 @@ func (s *Server) writeUnavailable(w http.ResponseWriter, cl class, format string
 //
 // fn receives the request context and must pass it into the engine.
 func (s *Server) run(w http.ResponseWriter, r *http.Request, cl class, fn func(ctx context.Context) (any, int)) {
-	timeout := s.cfg.RequestTimeout
-	budget, ok, err := deadlineFromHeader(r)
+	timeout, err := wire.RequestBudget(r, s.cfg.RequestTimeout)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if ok {
-		if budget <= 0 {
-			s.stats.recordShed(cl)
-			s.writeUnavailable(w, cl, "deadline already expired (budget %s); shed before execution", budget)
-			return
-		}
-		if budget < timeout {
-			timeout = budget
-		}
+	if timeout <= 0 {
+		s.stats.recordShed(cl)
+		s.writeUnavailable(w, cl, "deadline already expired (budget %s); shed before execution", timeout)
+		return
 	}
 	// Estimate-based shedding: admitting work whose deadline the recent
 	// latency EWMA says cannot be met only burns CPU toward a guaranteed
@@ -398,11 +366,11 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, cl class, fn func(c
 		s.stats.classes[cl].observe(time.Since(start))
 		if out.status >= 400 {
 			if msg, ok := out.body.(string); ok {
-				writeError(w, out.status, "%s", msg)
+				wire.WriteError(w, out.status, "%s", msg)
 				return
 			}
 		}
-		writeJSON(w, out.status, out.body)
+		wire.WriteJSON(w, out.status, out.body)
 	case <-ctx.Done():
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			// The class estimate must reflect expiries too, or a saturated
@@ -412,31 +380,13 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, cl class, fn func(c
 			// real completions are slow.
 			s.stats.classes[cl].observe(time.Since(start))
 			s.stats.recordTimeout(cl)
-			writeError(w, http.StatusGatewayTimeout, "request exceeded %s (the statement was cancelled server-side)", timeout)
+			wire.WriteError(w, http.StatusGatewayTimeout, "request exceeded %s (the statement was cancelled server-side)", timeout)
 			return
 		}
 		// Client went away: nobody reads the response; the engine-side
 		// unwinding records the cancellation (recordQuery/recordCancelled).
-		writeError(w, http.StatusServiceUnavailable, "client cancelled")
+		wire.WriteError(w, http.StatusServiceUnavailable, "client cancelled")
 	}
-}
-
-// decodeBody decodes a JSON request body under the MaxBodyBytes cap,
-// answering 413 for oversized bodies and 400 for malformed ones. It reports
-// whether decoding succeeded; on false the response has been written.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(into); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds the %d-byte limit", mbe.Limit)
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
-	}
-	return true
 }
 
 // classForVisibility derives the default priority class of a query: OPEN
@@ -451,11 +401,11 @@ func classForVisibility(vis sql.Visibility) class {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		wire.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var req wire.QueryRequest
-	if !s.decodeBody(w, r, &req) {
+	if !wire.DecodeBody(w, r, &req) {
 		return
 	}
 	// Plan-cache lookup before parsing: a hit skips parse + plan entirely
@@ -470,7 +420,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if sel == nil {
 		parsed, err := sql.ParseQuery(req.Query)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			wire.WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		sel = parsed
@@ -478,20 +428,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			pq = s.plans.Store(eng, req.Query, sel)
 		}
 	}
-	params, err := wire.DecodeValues(req.Params)
+	bound, err := wire.BindQuery(sel, req.Params)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	bound, err := sql.BindParams(sel, params)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	vis := bound.Visibility
 	cl, err := classFromHeader(r, classForVisibility(vis))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.run(w, r, cl, func(ctx context.Context) (any, int) {
@@ -548,37 +493,32 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // under, so the check cannot race a concurrent mutation.
 func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		wire.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var req wire.PartialRequest
-	if !s.decodeBody(w, r, &req) {
+	if !wire.DecodeBody(w, r, &req) {
 		return
 	}
 	if req.Shards < 1 || req.Shard < 0 || req.Shard >= req.Shards {
-		writeError(w, http.StatusBadRequest, "shard %d of %d out of range", req.Shard, req.Shards)
+		wire.WriteError(w, http.StatusBadRequest, "shard %d of %d out of range", req.Shard, req.Shards)
 		return
 	}
 	sel, err := sql.ParseQuery(req.Query)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	params, err := wire.DecodeValues(req.Params)
+	bound, err := wire.BindQuery(sel, req.Params)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	bound, err := sql.BindParams(sel, params)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// Partials serve only CLOSED/SEMI-OPEN aggregates (OPEN is unhandled),
 	// so the default class is interactive, like the equivalent /v1/query.
 	cl, err := classFromHeader(r, classInteractive)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.run(w, r, cl, func(ctx context.Context) (any, int) {
@@ -622,23 +562,23 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		wire.WriteError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	if s.cfg.Follower != nil {
-		writeError(w, http.StatusForbidden,
+		wire.WriteError(w, http.StatusForbidden,
 			"read-only follower replicating from %s: DDL/DML is not accepted here — write to the primary", s.cfg.Follower.Stats().Primary)
 		return
 	}
 	var req wire.ExecRequest
-	if !s.decodeBody(w, r, &req) {
+	if !wire.DecodeBody(w, r, &req) {
 		return
 	}
 	// Scripts can carry arbitrary DDL/DML and heavy SELECTs: batch class
 	// unless the client says otherwise.
 	cl, err := classFromHeader(r, classBatch)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.run(w, r, cl, func(ctx context.Context) (any, int) {
@@ -661,22 +601,22 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		wire.WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	q := r.URL.Query().Get("q")
 	if q == "" {
-		writeError(w, http.StatusBadRequest, "missing ?q=SELECT ...")
+		wire.WriteError(w, http.StatusBadRequest, "missing ?q=SELECT ...")
 		return
 	}
 	sel, err := sql.ParseQuery(q)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	cl, err := classFromHeader(r, classInteractive)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.run(w, r, cl, func(ctx context.Context) (any, int) {
@@ -697,19 +637,19 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 // needed most.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		wire.WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	if s.cfg.Follower != nil {
-		writeError(w, http.StatusForbidden, "followers are not replication sources: snapshot from the primary")
+		wire.WriteError(w, http.StatusForbidden, "followers are not replication sources: snapshot from the primary")
 		return
 	}
 	script, gen, err := s.db.Engine().DumpWithGeneration()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		wire.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, wire.SnapshotResponse{Script: script, Generation: gen})
+	wire.WriteJSON(w, http.StatusOK, wire.SnapshotResponse{Script: script, Generation: gen})
 }
 
 // handleSnapshotDelta serves GET /v1/snapshot/delta?from=G: the statement
@@ -718,26 +658,26 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // mutation) and the follower must re-bootstrap from /v1/snapshot.
 func (s *Server) handleSnapshotDelta(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
+		wire.WriteError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	if s.cfg.Follower != nil {
-		writeError(w, http.StatusForbidden, "followers are not replication sources: snapshot from the primary")
+		wire.WriteError(w, http.StatusForbidden, "followers are not replication sources: snapshot from the primary")
 		return
 	}
 	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "missing or malformed ?from=GENERATION: %v", err)
+		wire.WriteError(w, http.StatusBadRequest, "missing or malformed ?from=GENERATION: %v", err)
 		return
 	}
 	stmts, cur, err := s.db.Engine().DeltaScript(from)
 	if err != nil {
 		if errors.Is(err, core.ErrLogTruncated) {
-			writeError(w, http.StatusGone,
+			wire.WriteError(w, http.StatusGone,
 				"generation %d is outside the statement log (current %d): re-bootstrap from /v1/snapshot", from, cur)
 			return
 		}
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		wire.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	out := wire.DeltaResponse{From: from, Generation: cur}
@@ -747,7 +687,7 @@ func (s *Server) handleSnapshotDelta(w http.ResponseWriter, r *http.Request) {
 			out.Stmts[i] = wire.DeltaStmt{Src: st.Src, Failed: st.Failed}
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	wire.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -762,7 +702,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			out.Status = "degraded"
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	wire.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -785,5 +725,5 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Rows:   eng.ShardRows(),
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	wire.WriteJSON(w, http.StatusOK, out)
 }

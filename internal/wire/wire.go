@@ -1,5 +1,9 @@
-// Package wire defines the JSON protocol shared by the Mosaic HTTP server
-// (internal/server) and the Go client (mosaic/client).
+// Package wire defines the JSON protocol spoken by mosaic-serve
+// (internal/server), the fleet coordinator mosaic-coord (internal/coord) and
+// the Go client (mosaic/client): the request and response bodies, the value
+// codec, and the HTTP edge both front doors share (http.go) — header names,
+// the request body cap, the deadline budget, and the JSON error and 503
+// answers.
 //
 // Result cells travel as tagged strings rather than raw JSON scalars so that
 // every value round-trips bit-exactly: floats use Go's shortest
